@@ -400,16 +400,22 @@ pub struct BenchSelfOpts {
     pub check: Option<PathBuf>,
 }
 
-/// Usage text of the subcommand.
-pub const BENCH_SELF_USAGE: &str = "\
+/// Usage text of the subcommand; the `--check` threshold is
+/// [`REGRESSION_TOLERANCE`].
+pub fn bench_self_usage() -> String {
+    format!(
+        "\
 usage: mpstream bench-self [options]
   Benchmark the simulator itself: run representative sweep slices on the
   fast path and the reference slow path, report points/second and the
   speedup, and verify both produce byte-identical reports.
   --out <file>     write results as JSON lines (the BENCH_sim.json format)
   --check <file>   compare fast-path points/sec against a recorded
-                   baseline; exit nonzero if any slice lost more than 20%
-  --help           this text";
+                   baseline; exit nonzero if any slice lost more than {:.0}%
+  --help           this text",
+        REGRESSION_TOLERANCE * 100.0
+    )
+}
 
 /// Parse `bench-self` arguments (without the subcommand itself).
 /// `Ok(None)` means `--help`.
@@ -489,6 +495,7 @@ mod tests {
         assert!(parse_bench_self_args(&["--help".into()]).unwrap().is_none());
         assert!(parse_bench_self_args(&["--out".into()]).is_err());
         assert!(parse_bench_self_args(&["--bogus".into()]).is_err());
+        assert!(bench_self_usage().contains("lost more than 50%"));
     }
 
     #[test]

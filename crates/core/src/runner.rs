@@ -518,17 +518,24 @@ fn expected_hpcc(cfg: &KernelConfig) -> Vec<u8> {
             }
         }
         StreamOp::DgemmLite => {
-            // Wrapping i32 matmul of the init patterns; the `c` operand
-            // is its first cols x cols elements.
-            for i in 0..n {
-                let (r, c) = (i / cols, i % cols);
-                let mut acc = 0i32;
-                for k in 0..cols {
+            // Wrapping i32 matmul of the init patterns, one output row at
+            // a time; the `c` operand is its first cols x cols elements.
+            let c_op: Vec<i32> = (0..cols * cols)
+                .map(|i| src_values(i, Source::C) as i32)
+                .collect();
+            let mut acc = vec![0i32; cols as usize];
+            for r in 0..rows {
+                acc.fill(0);
+                for (k, c_row) in (0..cols).zip(c_op.chunks_exact(cols as usize)) {
                     let bv = src_values(r * cols + k, Source::B) as i32;
-                    let cv = src_values(k * cols + c, Source::C) as i32;
-                    acc = acc.wrapping_add(bv.wrapping_mul(cv));
+                    for (x, &cv) in acc.iter_mut().zip(c_row) {
+                        *x = x.wrapping_add(bv.wrapping_mul(cv));
+                    }
                 }
-                out[(i * 4) as usize..(i * 4 + 4) as usize].copy_from_slice(&acc.to_ne_bytes());
+                let row = (r * cols * 4) as usize;
+                for (dst, v) in out[row..].chunks_exact_mut(4).zip(&acc) {
+                    dst.copy_from_slice(&v.to_ne_bytes());
+                }
             }
         }
         _ => unreachable!("stream ops use the closed form"),
@@ -626,6 +633,32 @@ mod tests {
         });
         let err = Runner::for_target(TargetId::FpgaAocl).run(&BenchConfig::new(kernel));
         assert!(matches!(err, Err(ClError::BuildProgramFailure(_))));
+    }
+
+    #[test]
+    fn hpcc_ops_validate_and_a_bit_flip_fails_dgemm() {
+        let n_words = (1 << 20) / 4; // 1 MiB: a 512x512 DGEMM-lite, K = 512
+        for target in [TargetId::Cpu, TargetId::Gpu] {
+            for op in StreamOp::HPCC {
+                let bc = BenchConfig::new(KernelConfig::baseline(op, n_words)).with_ntimes(1);
+                let m = Runner::for_target(target).run(&bc).expect("ok");
+                assert_eq!(m.validated, Some(true), "{op:?} on {target:?}");
+            }
+        }
+        // One flipped destination bit on every launch (a certainty the
+        // `[0, 1)` spec parser refuses, so built directly): the
+        // row-by-row oracle must still see the corruption.
+        let spec = mpcl::FaultSpec {
+            bit_flip: 1.0,
+            ..Default::default()
+        };
+        let faults = Arc::new(FaultPlan::new(spec, 20260807));
+        let bc = BenchConfig::new(KernelConfig::baseline(StreamOp::DgemmLite, 1 << 14));
+        let m = Runner::for_target(TargetId::Cpu)
+            .with_faults(Some(faults))
+            .run(&bc)
+            .expect("a bit flip is silent");
+        assert_eq!(m.validated, Some(false));
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! traversal order (so index-arithmetic bugs in a pattern would corrupt
 //! results and fail validation, rather than hiding behind an elementwise
 //! shortcut), with a fast path for the contiguous pattern.
+//!
+//! The HPCC ops are the exception: their host loop order is independent
+//! of their simulated access stream. Timing comes from the access
+//! stream, which walks DGEMM-lite as one dot product per output, while
+//! the interpreter computes DGEMM-lite one output row at a time (i-k-j)
+//! so its inner loop reads contiguous rows of `c`. Both orders give the
+//! same bits: the arithmetic is wrapping `i32`, whose addition is
+//! associative and commutative, so every summation order agrees.
 
 use crate::access::IndexOrder;
 use crate::ir::{gups_index, DataType, KernelConfig, Op, StreamOp};
@@ -88,8 +96,8 @@ pub fn execute(cfg: &KernelConfig, a: &mut [u8], b: &[u8], c: &[u8]) {
 
 /// The HPCC-style kernels. All are scalar (validation pins them to
 /// vector width 1) and order-independent: GUPS accumulates with XOR,
-/// PTRANS writes each destination slot exactly once, DGEMM-lite's
-/// outputs are independent — so the traversal order that matters for
+/// PTRANS writes each destination slot exactly once, DGEMM-lite sums
+/// wrapping `i32` products — so the traversal order that matters for
 /// timing does not affect values, and results stay bit-exact.
 fn execute_hpcc(cfg: &KernelConfig, a: &mut [u8], b: &[u8], c: &[u8]) {
     let n = cfg.n_words as usize;
@@ -116,22 +124,28 @@ fn execute_hpcc(cfg: &KernelConfig, a: &mut [u8], b: &[u8], c: &[u8]) {
             }
         }
         Op::DgemmLite => {
-            // i32 wrapping matmul with a fixed accumulation order; the
-            // operand matrix from `c` is its first cols x cols elements.
-            let (_, cols) = cfg.matrix_shape();
+            // i32 wrapping matmul, one output row at a time (i-k-j): row
+            // r accumulates b[r][k] * c[k][..] over k, so every inner
+            // loop reads a contiguous row of `c`. The operand matrix from
+            // `c` is its first cols x cols elements.
+            let (rows, cols) = cfg.matrix_shape();
             let k_dim = cols as usize;
-            let load = |buf: &[u8], idx: usize| {
-                i32::from_ne_bytes(buf[idx * 4..idx * 4 + 4].try_into().expect("4 bytes"))
-            };
-            for i in 0..n {
-                let (r, col) = (i / k_dim, i % k_dim);
-                let mut acc = 0i32;
-                for k in 0..k_dim {
-                    acc = acc.wrapping_add(
-                        load(b, r * k_dim + k).wrapping_mul(load(c, k * k_dim + col)),
-                    );
+            let row_bytes = k_dim * 4;
+            let mut acc = vec![0i32; k_dim];
+            for r in 0..rows as usize {
+                acc.fill(0);
+                let b_row = &b[r * row_bytes..(r + 1) * row_bytes];
+                for (k, bw) in b_row.chunks_exact(4).enumerate() {
+                    let bv = i32::load(bw);
+                    let c_row = &c[k * row_bytes..(k + 1) * row_bytes];
+                    for (x, cw) in acc.iter_mut().zip(c_row.chunks_exact(4)) {
+                        *x = x.wrapping_add(bv.wrapping_mul(i32::load(cw)));
+                    }
                 }
-                a[i * 4..i * 4 + 4].copy_from_slice(&acc.to_ne_bytes());
+                let a_row = &mut a[r * row_bytes..(r + 1) * row_bytes];
+                for (dst, v) in a_row.chunks_exact_mut(4).zip(&acc) {
+                    v.store(dst);
+                }
             }
         }
         _ => unreachable!("stream ops take execute_typed"),
@@ -376,21 +390,54 @@ mod tests {
         assert_eq!(seen, src);
     }
 
-    #[test]
-    fn dgemm_lite_matches_a_reference_matmul() {
-        let n = 16usize; // 4x4, K = 4
-        let (mut a, b, c) = bufs_i32(n);
-        let cfg = KernelConfig::baseline(Op::DgemmLite, n as u64);
-        execute(&cfg, &mut a, &b, &c);
-        for r in 0..4usize {
-            for col in 0..4usize {
+    /// The naive i-j-k matmul (one dot product per output), the
+    /// reference the row-by-row interpreter loop must match bit for bit.
+    fn reference_matmul(b: &[u8], c: &[u8], rows: usize, cols: usize) -> Vec<i32> {
+        let mut out = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            for col in 0..cols {
                 let mut acc = 0i32;
-                for k in 0..4usize {
+                for k in 0..cols {
                     acc = acc.wrapping_add(
-                        read_i32(&b, r * 4 + k).wrapping_mul(read_i32(&c, k * 4 + col)),
+                        read_i32(b, r * cols + k).wrapping_mul(read_i32(c, k * cols + col)),
                     );
                 }
-                assert_eq!(read_i32(&a, r * 4 + col), acc, "a[{r},{col}]");
+                out.push(acc);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dgemm_lite_matches_a_reference_matmul() {
+        // Square 4x4 (K = 4) from the small init patterns.
+        let (_, b, c) = bufs_i32(16);
+        let square = (KernelConfig::baseline(Op::DgemmLite, 16), b, c, (4, 4));
+        // Non-square: 32 rows x 8 cols, K = 8.
+        let (_, b, c) = bufs_i32(256);
+        let mut cfg = KernelConfig::baseline(Op::DgemmLite, 256);
+        cfg.pattern = AccessPattern::ColMajor { cols: Some(8) };
+        let tall = (cfg, b, c, (32, 8));
+        // Operands near i32::MAX and i32::MIN / 3, so products and sums wrap.
+        let (_, mut b, mut c) = bufs_i32(64);
+        for i in 0..64 {
+            (i32::MAX - 7 * i as i32).store(&mut b[i * 4..]);
+            (i32::MIN / 3 + 1_000_003 * i as i32).store(&mut c[i * 4..]);
+        }
+        let exact: i128 = (0..8)
+            .map(|k| read_i32(&b, k) as i128 * read_i32(&c, k * 8) as i128)
+            .sum();
+        assert!(i32::try_from(exact).is_err(), "a[0,0] must wrap");
+        let wrapping = (KernelConfig::baseline(Op::DgemmLite, 64), b, c, (8, 8));
+
+        for (cfg, b, c, shape) in [square, tall, wrapping] {
+            assert_eq!(cfg.matrix_shape(), shape);
+            let (rows, cols) = (shape.0 as usize, shape.1 as usize);
+            let mut a = vec![0u8; b.len()];
+            execute(&cfg, &mut a, &b, &c);
+            let want = reference_matmul(&b, &c, rows, cols);
+            for (i, &e) in want.iter().enumerate() {
+                assert_eq!(read_i32(&a, i), e, "{shape:?} a[{},{}]", i / cols, i % cols);
             }
         }
     }

@@ -95,7 +95,7 @@ fn main() -> ExitCode {
         use mpstream_core::bench_self;
         return match bench_self::parse_bench_self_args(&args[1..]) {
             Ok(None) => {
-                println!("{}", bench_self::BENCH_SELF_USAGE);
+                println!("{}", bench_self::bench_self_usage());
                 ExitCode::SUCCESS
             }
             Ok(Some(opts)) => match bench_self::run_bench_self(&opts) {
@@ -109,7 +109,7 @@ fn main() -> ExitCode {
                 }
             },
             Err(e) => {
-                eprintln!("error: {e}\n\n{}", bench_self::BENCH_SELF_USAGE);
+                eprintln!("error: {e}\n\n{}", bench_self::bench_self_usage());
                 ExitCode::from(2)
             }
         };
