@@ -1,12 +1,14 @@
 //! The benchmark runner: executes one [`BenchConfig`] on one device the
 //! way MP-STREAM's host program does.
 //!
-//! Protocol (per configuration): allocate the arrays, initialize the
-//! sources with known patterns and transfer them (untimed, as STREAM
-//! does), build the kernel (FPGA synthesis may fail — that is a result,
-//! not a crash), one warm-up launch, `ntimes` timed launches keeping the
-//! best, then STREAM-style validation of the destination array against
-//! the closed-form expectation. Bandwidth divides STREAM-counted bytes
+//! Protocol (per configuration): allocate the arrays, write the sources'
+//! known patterns into device memory through mapped transfers (untimed,
+//! as STREAM does), build the kernel (FPGA synthesis may fail — that is
+//! a result, not a crash), one warm-up launch, `ntimes` timed launches
+//! keeping the best, then STREAM-style validation of the destination
+//! array, where it lies, against the closed-form expectation. The mapped
+//! transfers cost what copying ones do, so no timestamp depends on
+//! which form the host uses. Bandwidth divides STREAM-counted bytes
 //! by the best *wall* time of one launch (queue→end), which is what
 //! makes small arrays overhead-bound exactly as in the paper's figures.
 
@@ -338,10 +340,7 @@ impl Runner {
 
         // Initialize sources (untimed) when running functionally.
         if bc.validate {
-            queue.enqueue_write(&b, &init_array(kernel_cfg, Source::B))?;
-            if let Some(c) = &c {
-                queue.enqueue_write(c, &init_array(kernel_cfg, Source::C))?;
-            }
+            write_sources(queue, kernel_cfg, &b, c.as_ref())?;
         }
 
         let program = match &self.cache {
@@ -369,25 +368,14 @@ impl Runner {
                 }
                 StreamLocation::HostOverLink => {
                     // Arrays cross the link every repetition: source
-                    // download(s), execute, result upload.
+                    // download(s), execute, result upload (discarded;
+                    // the result is checked once, after the last one).
                     let t0 = queue.now_ns();
-                    if bc.validate {
-                        queue.enqueue_write(&b, &init_array(kernel_cfg, Source::B))?;
-                        if let Some(c) = &c {
-                            queue.enqueue_write(c, &init_array(kernel_cfg, Source::C))?;
-                        }
-                    } else {
-                        // Timing-only: model the transfers with zero-fill.
-                        queue.enqueue_write(&b, &vec![0u8; bytes as usize])?;
-                        if let Some(c) = &c {
-                            queue.enqueue_write(c, &vec![0u8; bytes as usize])?;
-                        }
-                    }
+                    write_sources(queue, kernel_cfg, &b, c.as_ref())?;
                     let ev = queue.enqueue_kernel(&kernel)?;
                     best_kernel = best_kernel.min(ev.duration_ns());
                     dram_bytes = ev.dram_bytes;
-                    let mut sink = vec![0u8; bytes as usize];
-                    queue.enqueue_read(&a, &mut sink)?;
+                    queue.enqueue_read_with(&a, |_| ())?;
                     queue.now_ns() - t0
                 }
             };
@@ -395,10 +383,11 @@ impl Runner {
             sum_wall += wall;
         }
 
+        // Check the result where it lies.
         let validated = if bc.validate {
-            let mut out = vec![0u8; bytes as usize];
-            queue.enqueue_read(&a, &mut out)?;
-            Some(check_results(kernel_cfg, &out))
+            queue
+                .enqueue_read_with(&a, |out| check_results(kernel_cfg, out))?
+                .1
         } else {
             None
         };
@@ -440,49 +429,61 @@ enum Source {
     C,
 }
 
+impl Source {
+    /// Words after which the source's pattern repeats.
+    fn period(self) -> u64 {
+        match self {
+            Source::B => 1021,
+            Source::C => 511,
+        }
+    }
+
+    /// One period of the source's pattern, as `f64`.
+    fn period_values(self) -> Vec<f64> {
+        (0..self.period())
+            .map(|i| src_values(i, self) as f64)
+            .collect()
+    }
+}
+
 /// Deterministic init patterns with closed-form expected results —
 /// kept small so `q * b + c` never overflows an i32.
 fn src_values(i: u64, which: Source) -> i64 {
+    let j = (i % which.period()) as i64;
     match which {
-        Source::B => (i % 1021) as i64 + 1,
-        Source::C => (i % 511) as i64 * 2,
+        Source::B => j + 1,
+        Source::C => j * 2,
     }
 }
 
-fn init_array(cfg: &KernelConfig, which: Source) -> Vec<u8> {
-    let n = cfg.n_words;
-    let mut out = vec![0u8; (n * cfg.dtype.word_bytes()) as usize];
-    match cfg.dtype {
-        DataType::I32 => {
-            for i in 0..n {
-                let v = src_values(i, which) as i32;
-                out[(i * 4) as usize..(i * 4 + 4) as usize].copy_from_slice(&v.to_ne_bytes());
-            }
-        }
-        DataType::F64 => {
-            for i in 0..n {
-                let v = src_values(i, which) as f64;
-                out[(i * 8) as usize..(i * 8 + 8) as usize].copy_from_slice(&v.to_ne_bytes());
-            }
-        }
+/// Write both source patterns into device memory in place. A
+/// timing-only queue records the transfers without filling.
+fn write_sources(
+    queue: &CommandQueue,
+    cfg: &KernelConfig,
+    b: &Buffer,
+    c: Option<&Buffer>,
+) -> Result<(), ClError> {
+    queue.enqueue_write_with(b, |dst| fill_source(cfg, Source::B, dst))?;
+    if let Some(c) = c {
+        queue.enqueue_write_with(c, |dst| fill_source(cfg, Source::C, dst))?;
     }
-    out
+    Ok(())
 }
 
-/// Expected destination value (the closed form STREAM validates against).
-fn expected(cfg: &KernelConfig, i: u64) -> f64 {
-    let b = src_values(i, Source::B) as f64;
-    let c = src_values(i, Source::C) as f64;
-    let q = match cfg.dtype {
-        DataType::I32 => cfg.q as i64 as f64,
-        DataType::F64 => cfg.q,
-    };
-    match cfg.op {
-        StreamOp::Copy => b,
-        StreamOp::Scale => q * b,
-        StreamOp::Add => b + c,
-        StreamOp::Triad => b + q * c,
-        _ => unreachable!("HPCC ops validate via expected_hpcc"),
+/// Encode one period of `which` once, then tile it over `dst`.
+fn fill_source(cfg: &KernelConfig, which: Source, dst: &mut [u8]) {
+    let w = cfg.dtype.word_bytes() as usize;
+    let mut tile = vec![0u8; which.period() as usize * w];
+    for (i, word) in (0..).zip(tile.chunks_exact_mut(w)) {
+        let v = src_values(i, which);
+        match cfg.dtype {
+            DataType::I32 => word.copy_from_slice(&(v as i32).to_ne_bytes()),
+            DataType::F64 => word.copy_from_slice(&(v as f64).to_ne_bytes()),
+        }
+    }
+    for chunk in dst.chunks_mut(tile.len()) {
+        chunk.copy_from_slice(&tile[..chunk.len()]);
     }
 }
 
@@ -543,30 +544,73 @@ fn expected_hpcc(cfg: &KernelConfig) -> Vec<u8> {
     out
 }
 
-/// STREAM-style full-array validation.
+/// STREAM-style full-array validation. A STREAM op's destination is
+/// compared element by element with its closed form.
 fn check_results(cfg: &KernelConfig, a: &[u8]) -> bool {
     if !cfg.op.is_stream() {
         return a == expected_hpcc(cfg);
     }
-    let n = cfg.n_words;
-    match cfg.dtype {
-        DataType::I32 => (0..n).all(|i| {
-            let got = i32::from_ne_bytes(
-                a[(i * 4) as usize..(i * 4 + 4) as usize]
-                    .try_into()
-                    .expect("4"),
-            );
-            got as f64 == expected(cfg, i)
+    let q = match cfg.dtype {
+        DataType::I32 => cfg.q as i64 as f64,
+        DataType::F64 => cfg.q,
+    };
+    match cfg.op {
+        StreamOp::Copy => check_stream(cfg.dtype, a, |b, _| b),
+        StreamOp::Scale => check_stream(cfg.dtype, a, |b, _| q * b),
+        StreamOp::Add => check_stream(cfg.dtype, a, |b, c| b + c),
+        StreamOp::Triad => check_stream(cfg.dtype, a, |b, c| b + q * c),
+        _ => unreachable!("HPCC ops validate via expected_hpcc"),
+    }
+}
+
+fn check_stream(dtype: DataType, a: &[u8], expected: impl Fn(f64, f64) -> f64) -> bool {
+    match dtype {
+        DataType::I32 => check_words(a, expected, |word: [u8; 4], want| {
+            i32::from_ne_bytes(word) as f64 == want
         }),
-        DataType::F64 => (0..n).all(|i| {
-            let got = f64::from_ne_bytes(
-                a[(i * 8) as usize..(i * 8 + 8) as usize]
-                    .try_into()
-                    .expect("8"),
-            );
-            (got - expected(cfg, i)).abs() <= 1e-9 * expected(cfg, i).abs().max(1.0)
+        DataType::F64 => check_words(a, expected, |word: [u8; 8], want| {
+            let got = f64::from_ne_bytes(word);
+            (got - want).abs() <= 1e-9 * want.abs().max(1.0)
         }),
     }
+}
+
+/// Does every `W`-byte word of `a` match `expected(b, c)` of the source
+/// patterns? Two wrapping counters walk one period of each pattern; the
+/// words between two wraps form a run that is checked without an early
+/// exit, so the compiler can vectorize it.
+fn check_words<const W: usize>(
+    a: &[u8],
+    expected: impl Fn(f64, f64) -> f64,
+    matches: impl Fn([u8; W], f64) -> bool,
+) -> bool {
+    let (bs, cs) = (Source::B.period_values(), Source::C.period_values());
+    let (mut jb, mut jc) = (0, 0);
+    let mut rest = a;
+    while rest.len() >= W {
+        let run = (bs.len() - jb).min(cs.len() - jc).min(rest.len() / W);
+        let (head, tail) = rest.split_at(run * W);
+        let ok = head
+            .chunks_exact(W)
+            .zip(&bs[jb..jb + run])
+            .zip(&cs[jc..jc + run])
+            .fold(true, |ok, ((word, &b), &c)| {
+                ok & matches(word.try_into().expect("W-byte chunk"), expected(b, c))
+            });
+        if !ok {
+            return false;
+        }
+        rest = tail;
+        jb += run;
+        if jb == bs.len() {
+            jb = 0;
+        }
+        jc += run;
+        if jc == cs.len() {
+            jc = 0;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -696,7 +740,124 @@ mod tests {
         // q * b + c max: 3 * 1021 + 1020 << i32::MAX.
         let cfg = KernelConfig::baseline(StreamOp::Triad, 4096);
         for i in [0u64, 1, 1020, 1021, 4095] {
-            assert!(expected(&cfg, i) < i32::MAX as f64);
+            assert!(reference_expected(&cfg, i) < i32::MAX as f64);
+        }
+    }
+
+    /// Spans several periods of both patterns and is a multiple of
+    /// neither, so the last tile of each is partial.
+    const N_CHECK: u64 = 5000;
+
+    fn encode(cfg: &KernelConfig, v: f64) -> Vec<u8> {
+        match cfg.dtype {
+            DataType::I32 => (v as i32).to_ne_bytes().to_vec(),
+            DataType::F64 => v.to_ne_bytes().to_vec(),
+        }
+    }
+
+    /// Naive per-index source pattern: one `src_values` call per word.
+    fn reference_source(cfg: &KernelConfig, which: Source) -> Vec<u8> {
+        (0..cfg.n_words)
+            .flat_map(|i| encode(cfg, src_values(i, which) as f64))
+            .collect()
+    }
+
+    /// Naive per-index closed form of a STREAM op's destination.
+    fn reference_expected(cfg: &KernelConfig, i: u64) -> f64 {
+        let b = src_values(i, Source::B) as f64;
+        let c = src_values(i, Source::C) as f64;
+        let q = match cfg.dtype {
+            DataType::I32 => cfg.q as i64 as f64,
+            DataType::F64 => cfg.q,
+        };
+        match cfg.op {
+            StreamOp::Copy => b,
+            StreamOp::Scale => q * b,
+            StreamOp::Add => b + c,
+            StreamOp::Triad => b + q * c,
+            _ => unreachable!("STREAM ops only"),
+        }
+    }
+
+    fn check_cfgs() -> impl Iterator<Item = KernelConfig> {
+        StreamOp::ALL.into_iter().flat_map(|op| {
+            [DataType::I32, DataType::F64].map(|dtype| {
+                let mut cfg = KernelConfig::baseline(op, N_CHECK);
+                cfg.dtype = dtype;
+                if dtype == DataType::F64 {
+                    cfg.q = 2.5;
+                }
+                cfg
+            })
+        })
+    }
+
+    #[test]
+    fn tiled_init_matches_per_index_patterns() {
+        for dtype in [DataType::I32, DataType::F64] {
+            let mut cfg = KernelConfig::baseline(StreamOp::Triad, N_CHECK);
+            cfg.dtype = dtype;
+            for which in [Source::B, Source::C] {
+                let mut dst = vec![0xA5u8; cfg.array_bytes() as usize];
+                fill_source(&cfg, which, &mut dst);
+                assert!(dst == reference_source(&cfg, which), "{dtype:?} {which:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn check_accepts_correct_and_rejects_one_flipped_bit() {
+        for cfg in check_cfgs() {
+            let values: Vec<f64> = (0..N_CHECK).map(|i| reference_expected(&cfg, i)).collect();
+            let good: Vec<u8> = values.iter().flat_map(|&v| encode(&cfg, v)).collect();
+            assert!(check_results(&cfg, &good), "{:?} {:?}", cfg.op, cfg.dtype);
+            // Every wrap point of the two pattern counters, both ends.
+            for i in [0, 510, 511, 1020, 1021, N_CHECK - 1] {
+                let mut bad = values.clone();
+                bad[i as usize] = match cfg.dtype {
+                    DataType::I32 => (bad[i as usize] as i32 ^ 1) as f64,
+                    // The top mantissa bit: a low one hides inside the
+                    // comparison's 1e-9 relative tolerance.
+                    DataType::F64 => f64::from_bits(bad[i as usize].to_bits() ^ (1 << 51)),
+                };
+                let bad: Vec<u8> = bad.iter().flat_map(|&v| encode(&cfg, v)).collect();
+                assert!(
+                    !check_results(&cfg, &bad),
+                    "{:?} {:?} corrupted at {i}",
+                    cfg.op,
+                    cfg.dtype
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stream_ops_a_bit_flip_fails_validation_everywhere() {
+        // One flipped destination bit on every launch, on both array
+        // locations: the in-place check must see it on the device side.
+        let spec = mpcl::FaultSpec {
+            bit_flip: 1.0,
+            ..Default::default()
+        };
+        let faults = Arc::new(FaultPlan::new(spec, 20260807));
+        for target in TargetId::ALL {
+            let runner = Runner::for_target(target).with_faults(Some(Arc::clone(&faults)));
+            for op in StreamOp::ALL {
+                let mut kernel = KernelConfig::baseline(op, (64 << 10) / 4);
+                if target.is_fpga() {
+                    kernel.loop_mode = LoopMode::SingleWorkItemFlat;
+                }
+                let bc = BenchConfig::new(kernel).with_ntimes(1);
+                for bc in [bc.clone(), bc.over_link()] {
+                    let m = runner.run(&bc).expect("a bit flip is silent");
+                    assert_eq!(
+                        m.validated,
+                        Some(false),
+                        "{op:?} on {target:?}, {:?}",
+                        bc.location
+                    );
+                }
+            }
         }
     }
 }

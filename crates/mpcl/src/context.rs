@@ -138,25 +138,14 @@ impl Context {
         }
     }
 
-    /// Copy `data` into device memory at `base` (host→device transfer's
-    /// functional half).
-    pub(crate) fn write_bytes(&self, base: u64, data: &[u8]) {
+    /// Run `f` on the whole allocation at `base`, in place, under the
+    /// memory lock (the functional half of mapped transfers). The
+    /// allocation materializes zeroed if it was never written.
+    pub(crate) fn with_bytes<R>(&self, base: u64, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut mem = self.inner.mem.lock().expect("mpcl mutex poisoned");
-        let alloc = mem.allocs.get_mut(&base).expect("write to freed buffer");
-        let store = alloc
-            .data
-            .get_or_insert_with(|| vec![0; alloc.len as usize]);
-        store[..data.len()].copy_from_slice(data);
-    }
-
-    /// Copy device memory at `base` out to `out`.
-    pub(crate) fn read_bytes(&self, base: u64, out: &mut [u8]) {
-        let mut mem = self.inner.mem.lock().expect("mpcl mutex poisoned");
-        let alloc = mem.allocs.get_mut(&base).expect("read from freed buffer");
-        let store = alloc
-            .data
-            .get_or_insert_with(|| vec![0; alloc.len as usize]);
-        out.copy_from_slice(&store[..out.len()]);
+        let alloc = mem.allocs.get_mut(&base).expect("access to freed buffer");
+        let len = alloc.len as usize;
+        f(alloc.data.get_or_insert_with(|| vec![0; len]))
     }
 
     /// Flip the low bit of the byte at `offset` within the allocation at
@@ -321,9 +310,10 @@ mod tests {
     fn write_then_read_round_trips() {
         let c = ctx();
         let b = Buffer::new(&c, MemFlags::ReadWrite, 8).unwrap();
-        c.write_bytes(b.device_addr(), &[1, 2, 3, 4, 5, 6, 7, 8]);
-        let mut out = [0u8; 8];
-        c.read_bytes(b.device_addr(), &mut out);
+        c.with_bytes(b.device_addr(), |d| {
+            d.copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8])
+        });
+        let out = c.with_bytes(b.device_addr(), |d| d.to_vec());
         assert_eq!(out, [1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
@@ -331,8 +321,7 @@ mod tests {
     fn unwritten_buffer_reads_zeroes() {
         let c = ctx();
         let b = Buffer::new(&c, MemFlags::ReadOnly, 4).unwrap();
-        let mut out = [9u8; 4];
-        c.read_bytes(b.device_addr(), &mut out);
+        let out = c.with_bytes(b.device_addr(), |d| d.to_vec());
         assert_eq!(out, [0; 4]);
     }
 
@@ -341,13 +330,12 @@ mod tests {
         let c = ctx();
         let a = Buffer::new(&c, MemFlags::WriteOnly, 4).unwrap();
         let b = Buffer::new(&c, MemFlags::ReadOnly, 4).unwrap();
-        c.write_bytes(b.device_addr(), &[10, 20, 30, 40]);
+        c.with_bytes(b.device_addr(), |d| d.copy_from_slice(&[10, 20, 30, 40]));
         c.with_kernel_memory(a.device_addr(), b.device_addr(), None, |da, db, dc| {
             assert!(dc.is_empty());
             da.copy_from_slice(db);
         });
-        let mut out = [0u8; 4];
-        c.read_bytes(a.device_addr(), &mut out);
+        let out = c.with_bytes(a.device_addr(), |d| d.to_vec());
         assert_eq!(out, [10, 20, 30, 40]);
     }
 }

@@ -5,6 +5,15 @@
 //! profiling timestamps. `MP-STREAM` computes bandwidth from
 //! `CL_PROFILING_COMMAND_START`/`END` of the kernel event, and so does
 //! the benchmark runner here.
+//!
+//! Transfers come in two forms with identical timing: the copying
+//! `enqueue_write`/`enqueue_read` (`clEnqueueWriteBuffer`/`ReadBuffer`)
+//! and the mapped `enqueue_write_with`/`enqueue_read_with`
+//! (`clEnqueueMapBuffer`), whose closure works on the device allocation
+//! in place. The copying forms are thin wrappers over the mapped ones.
+//! A mapped closure runs under the context's memory lock: it must not
+//! re-enter the queue or the context (enqueue, allocate or drop a
+//! buffer), or it deadlocks.
 
 use crate::context::{Buffer, Context};
 use crate::error::ClError;
@@ -168,39 +177,73 @@ impl CommandQueue {
         }
     }
 
-    /// Host→device transfer (`clEnqueueWriteBuffer`): `data` must match
-    /// the buffer's size.
-    pub fn enqueue_write(&self, buf: &Buffer, data: &[u8]) -> Result<Event, ClError> {
+    /// Reject a buffer from another context, or a host slice whose size
+    /// differs from the buffer's.
+    fn check_host_slice(&self, buf: &Buffer, len: usize, what: &str) -> Result<(), ClError> {
         self.check_same_ctx(buf)?;
-        if data.len() as u64 != buf.len() {
+        if len as u64 != buf.len() {
             return Err(ClError::InvalidValue(format!(
-                "host data {} bytes, buffer {} bytes",
-                data.len(),
+                "{what} {len} bytes, buffer {} bytes",
                 buf.len()
             )));
         }
-        let ns = self.ctx.device().with_backend(|b| b.transfer_ns(buf.len()));
-        if self.functional {
-            self.ctx.write_bytes(buf.device_addr(), data);
-        }
-        Ok(self.advance(CmdKind::Write, 0.0, ns, buf.len()))
+        Ok(())
+    }
+
+    /// Host→device transfer (`clEnqueueWriteBuffer`): `data` must match
+    /// the buffer's size.
+    pub fn enqueue_write(&self, buf: &Buffer, data: &[u8]) -> Result<Event, ClError> {
+        self.check_host_slice(buf, data.len(), "host data")?;
+        self.enqueue_write_with(buf, |dst| dst.copy_from_slice(data))
     }
 
     /// Device→host transfer (`clEnqueueReadBuffer`).
     pub fn enqueue_read(&self, buf: &Buffer, out: &mut [u8]) -> Result<Event, ClError> {
+        self.check_host_slice(buf, out.len(), "host sink")?;
+        self.enqueue_read_with(buf, |src| out.copy_from_slice(src))
+            .map(|(ev, _)| ev)
+    }
+
+    /// Mapped host→device transfer (`clEnqueueMapBuffer` for writing):
+    /// `fill` writes the buffer's bytes in place (zeroed if the buffer
+    /// was never written). Costs and records exactly what
+    /// [`enqueue_write`](Self::enqueue_write) does; a timing-only queue
+    /// never calls `fill`.
+    pub fn enqueue_write_with(
+        &self,
+        buf: &Buffer,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<Event, ClError> {
+        self.transfer(CmdKind::Write, buf, fill).map(|(ev, _)| ev)
+    }
+
+    /// Mapped device→host transfer (`clEnqueueMapBuffer` for reading):
+    /// `inspect` sees the buffer's bytes where they lie (zeroes if the
+    /// buffer was never written). Costs and records exactly what
+    /// [`enqueue_read`](Self::enqueue_read) does. Returns `inspect`'s
+    /// result, or `None` on a timing-only queue, which never calls it.
+    pub fn enqueue_read_with<R>(
+        &self,
+        buf: &Buffer,
+        inspect: impl FnOnce(&[u8]) -> R,
+    ) -> Result<(Event, Option<R>), ClError> {
+        self.transfer(CmdKind::Read, buf, |bytes| inspect(bytes))
+    }
+
+    /// The one host↔device transfer path: link time for the whole
+    /// buffer, then (functional queues only) `f` on the device bytes.
+    fn transfer<R>(
+        &self,
+        kind: CmdKind,
+        buf: &Buffer,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<(Event, Option<R>), ClError> {
         self.check_same_ctx(buf)?;
-        if out.len() as u64 != buf.len() {
-            return Err(ClError::InvalidValue(format!(
-                "host sink {} bytes, buffer {} bytes",
-                out.len(),
-                buf.len()
-            )));
-        }
         let ns = self.ctx.device().with_backend(|b| b.transfer_ns(buf.len()));
-        if self.functional {
-            self.ctx.read_bytes(buf.device_addr(), out);
-        }
-        Ok(self.advance(CmdKind::Read, 0.0, ns, buf.len()))
+        let out = self
+            .functional
+            .then(|| self.ctx.with_bytes(buf.device_addr(), f));
+        Ok((self.advance(kind, 0.0, ns, buf.len()), out))
     }
 
     /// Kernel launch (`clEnqueueNDRangeKernel`): times the kernel on the
@@ -301,9 +344,9 @@ impl CommandQueue {
         let peak = self.ctx.device().info().peak_gbps;
         let ns = 2.0 * src.len() as f64 / peak;
         if self.functional {
-            let mut tmp = vec![0u8; src.len() as usize];
-            self.ctx.read_bytes(src.device_addr(), &mut tmp);
-            self.ctx.write_bytes(dst.device_addr(), &tmp);
+            let tmp = self.ctx.with_bytes(src.device_addr(), |s| s.to_vec());
+            self.ctx
+                .with_bytes(dst.device_addr(), |d| d.copy_from_slice(&tmp));
         }
         Ok(self.advance(CmdKind::Copy, 0.0, ns, 2 * src.len()))
     }
@@ -323,11 +366,11 @@ impl CommandQueue {
         let peak = self.ctx.device().info().peak_gbps;
         let ns = buf.len() as f64 / peak;
         if self.functional {
-            let mut data = vec![0u8; buf.len() as usize];
-            for chunk in data.chunks_mut(pattern.len()) {
-                chunk.copy_from_slice(pattern);
-            }
-            self.ctx.write_bytes(buf.device_addr(), &data);
+            self.ctx.with_bytes(buf.device_addr(), |d| {
+                for chunk in d.chunks_exact_mut(pattern.len()) {
+                    chunk.copy_from_slice(pattern);
+                }
+            });
         }
         Ok(self.advance(CmdKind::Fill, 0.0, ns, buf.len()))
     }
@@ -430,6 +473,79 @@ mod tests {
             q.enqueue_read(&buf, &mut out),
             Err(ClError::InvalidValue(_))
         ));
+    }
+
+    #[test]
+    fn mapped_transfers_time_and_log_like_copying_ones() {
+        let (ctx1, copying) = setup();
+        let (ctx2, mapped) = setup();
+        let b1 = Buffer::new(&ctx1, MemFlags::ReadWrite, 4096).unwrap();
+        let b2 = Buffer::new(&ctx2, MemFlags::ReadWrite, 4096).unwrap();
+        let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+
+        let w1 = copying.enqueue_write(&b1, &data).unwrap();
+        let w2 = mapped
+            .enqueue_write_with(&b2, |dst| dst.copy_from_slice(&data))
+            .unwrap();
+        assert_eq!(w1, w2);
+        let mut out = vec![0u8; 4096];
+        let r1 = copying.enqueue_read(&b1, &mut out).unwrap();
+        let (r2, same) = mapped
+            .enqueue_read_with(&b2, |src| src == out.as_slice())
+            .unwrap();
+        assert_eq!(r1, r2);
+        assert_eq!(same, Some(true), "mapped read sees what was written");
+        assert_eq!(out, data);
+
+        let (log1, log2) = (copying.take_log(), mapped.take_log());
+        assert_eq!(log1, log2);
+        let kinds: Vec<CmdKind> = log2.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [CmdKind::Write, CmdKind::Read]);
+        assert!(log2[0].event.end_ns > log2[0].event.start_ns);
+        assert_eq!(log2[1].event.queued_ns, log2[0].event.end_ns);
+    }
+
+    #[test]
+    fn timing_only_queue_never_calls_mapped_closures() {
+        let ctx = Context::new(fake_device());
+        let q = CommandQueue::new_timing_only(&ctx);
+        let buf = Buffer::new(&ctx, MemFlags::ReadWrite, 64).unwrap();
+        let ev = q
+            .enqueue_write_with(&buf, |_| panic!("write closure called"))
+            .unwrap();
+        assert!(ev.duration_ns() > 0.0);
+        let (ev, out) = q
+            .enqueue_read_with(&buf, |_| -> u8 { panic!("read closure called") })
+            .unwrap();
+        assert!(ev.duration_ns() > 0.0);
+        assert_eq!(out, None);
+        assert_eq!(q.take_log().len(), 2, "both transfers still cost time");
+    }
+
+    #[test]
+    fn mapped_transfers_reject_foreign_buffers() {
+        let (_ctx1, q1) = setup();
+        let ctx2 = Context::new(fake_device());
+        let buf2 = Buffer::new(&ctx2, MemFlags::ReadWrite, 4).unwrap();
+        assert_eq!(
+            q1.enqueue_write_with(&buf2, |_| ()).unwrap_err(),
+            ClError::InvalidContext
+        );
+        assert_eq!(
+            q1.enqueue_read_with(&buf2, |_| ()).unwrap_err(),
+            ClError::InvalidContext
+        );
+        assert!(q1.log_snapshot().is_empty(), "rejected before any time");
+    }
+
+    #[test]
+    fn never_written_buffer_maps_as_zeroes() {
+        let (ctx, q) = setup();
+        let buf = Buffer::new(&ctx, MemFlags::ReadOnly, 100).unwrap();
+        let (_, zeroes) = q
+            .enqueue_read_with(&buf, |src| src.len() == 100 && src.iter().all(|&b| b == 0))
+            .unwrap();
+        assert_eq!(zeroes, Some(true));
     }
 
     #[test]
