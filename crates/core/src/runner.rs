@@ -712,6 +712,35 @@ mod tests {
         assert_eq!(m.validated, None);
     }
 
+    /// Run `bc` on AOCL as [`Runner::run`] does, on a context the test
+    /// keeps: the verdict and the interpreter runs the point cost.
+    fn executed_launches(bc: &BenchConfig) -> (Option<bool>, u64) {
+        let runner = Runner::for_target(TargetId::FpgaAocl);
+        let ctx = Context::new(runner.device().clone());
+        let queue = if bc.validate {
+            CommandQueue::new(&ctx)
+        } else {
+            CommandQueue::new_timing_only(&ctx)
+        };
+        let m = runner.run_inner(bc, &ctx, &queue, &mut None).expect("ok");
+        (m.validated, ctx.executed_launches())
+    }
+
+    #[test]
+    fn a_validated_point_executes_once_per_observed_result() {
+        let mut kernel = KernelConfig::baseline(StreamOp::Triad, 1 << 14);
+        kernel.loop_mode = LoopMode::SingleWorkItemFlat;
+        let bc = BenchConfig::new(kernel).with_ntimes(5);
+        assert_eq!(bc.warmup, 1);
+        // Device-global: six identical launches, one read at the end.
+        assert_eq!(executed_launches(&bc), (Some(true), 1));
+        // Over the link, every repetition reads `a` back and rewrites
+        // the sources, so every launch is observed.
+        assert_eq!(executed_launches(&bc.clone().over_link()), (Some(true), 6));
+        // Timing-only points never execute.
+        assert_eq!(executed_launches(&bc.with_validation(false)), (None, 0));
+    }
+
     #[test]
     fn host_over_link_is_slower_than_device_global() {
         let n = 1 << 18; // 1 MiB arrays

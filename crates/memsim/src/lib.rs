@@ -24,7 +24,6 @@
 //! address space; time is carried either in cycles of a model-local clock
 //! (see [`clock::Freq`]) or in nanoseconds.
 
-pub mod analytic;
 pub mod cache;
 pub mod clock;
 pub mod coalesce;

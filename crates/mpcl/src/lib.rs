@@ -10,7 +10,8 @@
 //! * [`backend::DeviceBackend`] — the trait device models implement
 //!   (build = FPGA synthesis, estimate = timing model);
 //! * [`context::Context`] / [`context::Buffer`] — device memory, really
-//!   backed by host byte vectors so kernels execute functionally;
+//!   backed by host byte vectors so kernels execute functionally (each
+//!   launch when its result can first be observed);
 //! * [`program::Program`] / [`program::Kernel`] — compiled kernels with
 //!   bound arguments;
 //! * [`queue::CommandQueue`] / [`queue::Event`] — an in-order queue with

@@ -248,6 +248,11 @@ impl CommandQueue {
 
     /// Kernel launch (`clEnqueueNDRangeKernel`): times the kernel on the
     /// device model and (unless timing-only) executes it functionally.
+    /// Execution is deferred to the context's next memory access that
+    /// could observe it (see [`crate::context`]): a repeat of the same
+    /// launch replaces the pending one, so `ntimes` identical launches
+    /// followed by a read run the interpreter once. Events and the
+    /// command log do not depend on when execution happens.
     pub fn enqueue_kernel(&self, kernel: &Kernel) -> Result<Event, ClError> {
         if kernel.program().context().id() != self.ctx.id() {
             return Err(ClError::InvalidContext);
@@ -296,19 +301,15 @@ impl CommandQueue {
             return Err(e);
         }
         if self.functional {
-            let base_c = plan.cfg.op.uses_c().then_some(plan.base_c);
-            self.ctx
-                .with_kernel_memory(plan.base_a, plan.base_b, base_c, |a, b, c| {
-                    kernelgen::execute(&plan.cfg, a, b, c);
-                });
-            // Silent data corruption: flip one bit in the destination
-            // after the launch, for STREAM verification to catch.
-            // Timing-only queues have no data to corrupt.
-            if let Some((plan_fp, key)) = &fault_key {
-                if let Some(off) = plan_fp.inject_bit_flip(key, plan.cfg.array_bytes()) {
-                    self.ctx.flip_bit(plan.base_a, off);
-                }
-            }
+            // Silent data corruption: this launch may flip one bit of its
+            // destination, for STREAM verification to catch. The roll is
+            // drawn now, so attempt counters advance per launch; the flip
+            // lands when the launch settles. Timing-only queues have no
+            // data to corrupt.
+            let flip = fault_key
+                .as_ref()
+                .and_then(|(plan_fp, key)| plan_fp.inject_bit_flip(key, plan.cfg.array_bytes()));
+            self.ctx.defer_launch(plan, flip);
         }
         Ok(self.advance_full(
             CmdKind::Kernel,
@@ -741,6 +742,120 @@ mod tests {
         // Lost launches never reach the device: only completed launches
         // (if any) appear in the log, none flagged aborted.
         assert!(q.take_log().iter().all(|r| !r.aborted));
+    }
+
+    /// A Scale kernel over `n` i32 words, its destination and source
+    /// (written with `b[i] = i`).
+    fn scale_setup(ctx: &Context, q: &CommandQueue, n: u64) -> (Kernel, Buffer, Buffer) {
+        let p = Program::build(ctx, KernelConfig::baseline(StreamOp::Scale, n)).unwrap();
+        let a = Buffer::new(ctx, MemFlags::WriteOnly, n * 4).unwrap();
+        let b = Buffer::new(ctx, MemFlags::ReadOnly, n * 4).unwrap();
+        let host_b: Vec<u8> = (0..n).flat_map(|i| (i as i32).to_ne_bytes()).collect();
+        q.enqueue_write(&b, &host_b).unwrap();
+        let k = Kernel::new(&p, &a, &b, None).unwrap();
+        (k, a, b)
+    }
+
+    fn read_all(q: &CommandQueue, buf: &Buffer) -> Vec<u8> {
+        let mut out = vec![0u8; buf.len() as usize];
+        q.enqueue_read(buf, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn repeated_launches_keep_only_the_last_bit_flip() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let spec = FaultSpec::parse("bitflip=0.5").unwrap();
+        let n = 256u64;
+        let (mut flipped, mut clean) = (0, 0);
+        for (seed, launches) in (1..=12u64).zip((1..=4).cycle()) {
+            let plan = Arc::new(FaultPlan::new(spec, seed));
+            let ctx = Context::with_faults(fake_device(), Some(Arc::clone(&plan)));
+            let q = CommandQueue::new(&ctx);
+            let (k, a, b) = scale_setup(&ctx, &q, n);
+            for _ in 0..launches {
+                q.enqueue_kernel(&k).unwrap();
+            }
+            let got = read_all(&q, &a);
+            assert_eq!(ctx.executed_launches(), 1);
+
+            // The eager reference: execute once, then apply the flip the
+            // last launch drew, with every roll replayed on a twin plan.
+            let twin = FaultPlan::new(spec, seed);
+            let key = format!("{}:{:?}", ctx.device().info().name, k.plan().cfg);
+            let mut last_flip = None;
+            for _ in 0..launches {
+                assert!(twin.inject_enqueue_fault(&key).is_none());
+                last_flip = twin.inject_bit_flip(&key, n * 4);
+            }
+            let mut expect = vec![0u8; (n * 4) as usize];
+            kernelgen::execute(&k.plan().cfg, &mut expect, &read_all(&q, &b), &[]);
+            match last_flip {
+                Some(off) => {
+                    expect[off as usize] ^= 1;
+                    flipped += 1;
+                }
+                None => clean += 1,
+            }
+            assert_eq!(got, expect, "seed {seed}, {launches} launches");
+            assert_eq!(plan.counters().bit_flip, twin.counters().bit_flip);
+        }
+        assert!(flipped > 0 && clean > 0, "both outcomes must be exercised");
+    }
+
+    #[test]
+    fn second_queue_on_the_context_reads_the_settled_result() {
+        let (ctx, q) = setup();
+        let (k, a, _b) = scale_setup(&ctx, &q, 64);
+        q.enqueue_kernel(&k).unwrap();
+        q.enqueue_kernel(&k).unwrap();
+        let other = CommandQueue::new(&ctx);
+        let out = read_all(&other, &a);
+        let fifth = i32::from_ne_bytes(out[20..24].try_into().unwrap());
+        assert_eq!(fifth, 15, "a[5] = 3 * b[5]");
+        assert_eq!(ctx.executed_launches(), 1);
+        assert_eq!(q.take_log().len(), 3, "write + two launches");
+    }
+
+    #[test]
+    fn dropping_the_destination_discards_a_pending_launch() {
+        let (ctx, q) = setup();
+        let (k, a, b) = scale_setup(&ctx, &q, 64);
+        q.enqueue_kernel(&k).unwrap();
+        drop(a);
+        read_all(&q, &b);
+        drop(b);
+        assert_eq!(ctx.executed_launches(), 0, "nothing could observe it");
+    }
+
+    #[test]
+    fn dropping_a_source_settles_a_pending_launch_first() {
+        let (ctx, q) = setup();
+        let (k, a, b) = scale_setup(&ctx, &q, 64);
+        q.enqueue_kernel(&k).unwrap();
+        drop(b);
+        assert_eq!(ctx.executed_launches(), 1);
+        let out = read_all(&q, &a);
+        assert_eq!(i32::from_ne_bytes(out[4..8].try_into().unwrap()), 3);
+    }
+
+    #[test]
+    fn chained_kernels_read_the_settled_destination() {
+        let (ctx, q) = setup();
+        let n = 64u64;
+        let (k1, a, _b) = scale_setup(&ctx, &q, n);
+        let p2 = Program::build(&ctx, KernelConfig::baseline(StreamOp::Scale, n)).unwrap();
+        let d = Buffer::new(&ctx, MemFlags::WriteOnly, n * 4).unwrap();
+        let k2 = Kernel::new(&p2, &d, &a, None).unwrap();
+        q.enqueue_kernel(&k1).unwrap();
+        q.enqueue_kernel(&k2).unwrap();
+        q.enqueue_kernel(&k2).unwrap();
+        let out = read_all(&q, &d);
+        for i in 0..n as usize {
+            let v = i32::from_ne_bytes(out[i * 4..i * 4 + 4].try_into().unwrap());
+            assert_eq!(v, 9 * i as i32, "d[{i}] = 3 * (3 * b[{i}])");
+        }
+        assert_eq!(ctx.executed_launches(), 2, "one per distinct launch");
     }
 
     #[test]

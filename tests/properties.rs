@@ -317,3 +317,59 @@ fn random_family_configs_validate_end_to_end() {
         }
     }
 }
+
+#[test]
+fn executing_twice_equals_executing_once() {
+    // Every op overwrites its whole destination as a pure function of
+    // its sources, so a repeated launch leaves the bytes of a single one
+    // whatever the destination held before. mpcl relies on this to run
+    // `ntimes` identical launches once; an op that read its destination
+    // would fail here.
+    use kernelgen::Op;
+    let mut rng = SplitMix64::new(0x5EED_0009);
+    let mut covered = HashSet::new();
+    for op in Op::FAMILIES {
+        for dtype in [DataType::I32, DataType::F64] {
+            for pattern in [
+                AccessPattern::Contiguous,
+                AccessPattern::Strided { stride: 4 },
+                AccessPattern::ColMajor { cols: None },
+            ] {
+                for width in [1, 4] {
+                    let mut cfg = KernelConfig::baseline(op, 1 << 12);
+                    cfg.dtype = dtype;
+                    cfg.pattern = pattern;
+                    cfg.vector_width = VectorWidth::new(width).expect("allowed");
+                    if validate(&cfg).is_err() {
+                        continue;
+                    }
+                    let n = cfg.n_words as usize;
+                    let word = |seed: u64, i: usize| (i as u64 * 2654435761 + seed) % 1000;
+                    let source = |seed| -> Vec<u8> {
+                        (0..n)
+                            .flat_map(|i| match dtype {
+                                DataType::I32 => (word(seed, i) as i32).to_ne_bytes().to_vec(),
+                                DataType::F64 => (word(seed, i) as f64).to_ne_bytes().to_vec(),
+                            })
+                            .collect()
+                    };
+                    let (b, c) = (source(1), source(2));
+                    let mut a: Vec<u8> = (0..b.len()).map(|_| rng.next_u64() as u8).collect();
+                    kernelgen::execute(&cfg, &mut a, &b, &c);
+                    let once = a.clone();
+                    kernelgen::execute(&cfg, &mut a, &b, &c);
+                    assert_eq!(a, once, "twice != once for {cfg:?}");
+                    let mut fresh = vec![0u8; b.len()];
+                    kernelgen::execute(&cfg, &mut fresh, &b, &c);
+                    assert_eq!(fresh, once, "result depends on prior destination: {cfg:?}");
+                    covered.insert(op);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        covered.len(),
+        Op::FAMILIES.len(),
+        "every op has a legal case"
+    );
+}
